@@ -27,10 +27,15 @@ LINT_BUDGET ?= 120
 lint-bench:
 	./scripts/lint_bench.sh $(LINT_BUDGET)
 
-# Short-budget native fuzzing of the wire codec and the prefix parser.
+# Short-budget native fuzzing of the wire codec, the prefix parser, and
+# the lookup oracles: snapshot index, indexed TCAM table and cached agent
+# against their linear / single-table references.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCodecRoundTrip -fuzztime=5s ./internal/ofwire
 	$(GO) test -run='^$$' -fuzz=FuzzParsePrefix -fuzztime=5s ./internal/classifier
+	$(GO) test -run='^$$' -fuzz=FuzzRuleIndexEquivalence -fuzztime=5s ./internal/classifier
+	$(GO) test -run='^$$' -fuzz=FuzzTableLookupEquivalence -fuzztime=5s ./internal/tcam
+	$(GO) test -run='^$$' -fuzz=FuzzCachedLookupEquivalence -fuzztime=5s ./internal/core
 
 # Seeded chaos harness under the race detector: crash/restart
 # reconciliation, interrupted-migration repair, wire faults, and request
@@ -58,9 +63,9 @@ bench-json:
 	./scripts/bench_json.sh
 
 # Batched wire-path perf baseline: per-op vs vectored-frame ingest over TCP
-# loopback (ingest_speedup floor: 10x committed), the agent-core batch
-# insert (steady-state 0 allocs/op), and the sharded parallel lookup grid
-# across GOMAXPROCS 1/2/4/8. Rewrites BENCH_batch.json (committed).
+# loopback (ingest_speedup floor: 10x committed) and the agent-core batch
+# insert (steady-state 0 allocs/op). Rewrites BENCH_batch.json
+# (committed).
 bench-batch:
 	BATCH_ONLY=1 ./scripts/bench_json.sh
 

@@ -279,47 +279,6 @@ func BenchmarkAgentLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkAgentLookupHits pins the per-rule hit-accounting satellite: the
-// read path with TrackHits off (nohits) and on (hits) must both run at
-// 0 allocs/op, and the sharded-counter bump should cost single-digit
-// nanoseconds. scripts/bench_json.sh-style comparisons read the pair.
-func BenchmarkAgentLookupHits(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		track bool
-	}{{"nohits", false}, {"hits", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sw := hermes.NewSwitch("bench", hermes.Pica8P3290)
-			agent, err := hermes.NewAgent(sw, hermes.Config{
-				Guarantee:        5 * time.Millisecond,
-				DisableRateLimit: true,
-				TrackHits:        mode.track,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			now := time.Duration(0)
-			for i := 0; i < 500; i++ {
-				agent.Insert(now, hermes.Rule{ //nolint:errcheck
-					ID:       hermes.RuleID(i + 1),
-					Match:    hermes.DstMatch(hermes.NewPrefix(uint32(i)<<12, 20)),
-					Priority: int32(i % 50),
-				})
-				now += time.Millisecond
-			}
-			// Warm the snapshot past the rebuild hysteresis.
-			for i := 0; i < 64; i++ {
-				agent.Lookup(uint32(i)<<12, 0)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agent.Lookup(uint32(i%500)<<12, 0)
-			}
-		})
-	}
-}
-
 // BenchmarkCachedLookup contrasts the two-tier caching hierarchy against
 // the uncached pipeline on the same all-resident working set: every lookup
 // hits the hardware tier, so the delta is the hierarchy's pure read-path

@@ -136,9 +136,9 @@ type Agent struct {
 
 	// --- rule-cache hierarchy (DESIGN.md §16, cache.go) ---------------
 	// soft is the authoritative software tier (non-nil iff Config.Cache
-	// is set); cmgr is the cache/hit-stats manager (non-nil when Cache or
-	// TrackHits). soft's pointer is written once in New and read lock-free
-	// on the lookup fast path; its contents mutate only under a.mu.
+	// is set); cmgr is its cache/hit-stats manager (non-nil iff soft is).
+	// soft's pointer is written once in New and read lock-free on the
+	// lookup fast path; its contents mutate only under a.mu.
 	soft     *rulecache.SoftTable
 	cmgr     *rulecache.Manager
 	cacheCfg rulecache.Config
@@ -218,8 +218,6 @@ func New(sw *tcam.Switch, cfg Config) (*Agent, error) {
 		a.cmgr = rulecache.NewManager(cc)
 		a.covers = make(map[classifier.RuleID][]classifier.RuleID)
 		a.nextCoverID = coverIDBase
-	} else if cfg.TrackHits {
-		a.cmgr = rulecache.NewManager(rulecache.Config{})
 	}
 	if cfg.AutoTuneSlack {
 		seed := 1.0
@@ -375,7 +373,6 @@ func (a *Agent) insert(now time.Duration, r classifier.Rule) (Result, error) {
 		return res, err
 	}
 	a.trackLogical(r)
-	a.noteRuleAdded(r.ID)
 	return res, nil
 }
 
@@ -658,7 +655,6 @@ func (a *Agent) deleteRule(now time.Duration, id classifier.RuleID) (Result, err
 	delete(a.rules, id)
 	a.recycleRuleState(st)
 	a.untrackLogical(id)
-	a.noteRuleRemoved(id)
 	a.o.recordDelete(total)
 	a.o.event(now, obs.EvDelete, 0, uint64(id), 0, uint64(total))
 	return Result{Latency: total, Completed: completed, Guaranteed: true}, nil
@@ -773,7 +769,6 @@ func (a *Agent) Lookup(dst, src uint32) (classifier.Rule, bool) {
 	}
 	r, ok := a.sw.Lookup(dst, src)
 	if a.soft == nil {
-		a.recordPlainHit(r, ok)
 		return r, ok
 	}
 	return a.finishCachedLookup(dst, src, r, ok)

@@ -212,7 +212,6 @@ func (a *Agent) insertBatched(now time.Duration, r classifier.Rule) (Result, err
 	a.observeGuaranteed(now, res)
 	//lint:ignore hotpathalloc the logical reference table is a testing aid, off in production configs
 	a.trackLogical(r)
-	a.noteRuleAdded(r.ID)
 	return res, nil
 }
 

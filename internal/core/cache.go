@@ -43,37 +43,6 @@ import (
 // cover, everything below is a real rule or fragment.
 const coverIDBase classifier.RuleID = 1 << 41
 
-// noteRuleAdded / noteRuleRemoved keep the per-rule hit-stats records in
-// step with the controller-visible rule set (TrackHits and cached modes).
-func (a *Agent) noteRuleAdded(id classifier.RuleID) {
-	if a.cmgr != nil {
-		//lint:ignore hotpathalloc first-sight stats record; amortized over the rule's lifetime and nil-guarded off when hit tracking is disabled
-		a.cmgr.Ensure(id)
-	}
-}
-
-func (a *Agent) noteRuleRemoved(id classifier.RuleID) {
-	if a.cmgr != nil {
-		a.cmgr.Forget(id)
-	}
-}
-
-// recordPlainHit feeds the per-rule hit counter on the uncached read slow
-// path (TrackHits without a cache tier). Fragment hits are attributed to
-// their original rule.
-func (a *Agent) recordPlainHit(r classifier.Rule, ok bool) {
-	if !ok || a.cmgr == nil {
-		return
-	}
-	id := r.ID
-	if o, isFrag := a.pmap.OriginalOf(id); isFrag {
-		id = o
-	}
-	if s := a.cmgr.Stats(id); s != nil {
-		s.RecordHit(a.cmgr.EpochNow())
-	}
-}
-
 // finishCachedLookup completes a cached-mode lookup from the hardware
 // tier's verdict on the read slow path (read lock held): real hits return
 // directly, cover hits and misses continue into the software tier.
@@ -94,36 +63,14 @@ func (a *Agent) finishCachedLookup(dst, src uint32, r classifier.Rule, ok bool) 
 	return classifier.Rule{}, false
 }
 
-// buildHitMap maps every physical entry ID (and, in cached mode, every
-// software rule ID) to its original rule's stats record, so the published
-// snapshot can attribute hits without per-lookup indirection. Requires at
-// least the read lock.
-func (a *Agent) buildHitMap() map[classifier.RuleID]*rulecache.RuleStats {
-	m := make(map[classifier.RuleID]*rulecache.RuleStats,
-		a.shadow.Occupancy()+a.main.Occupancy())
-	add := func(entryID classifier.RuleID) {
-		if entryID >= coverIDBase {
-			return // cover punts are attributed to the soft winner instead
-		}
-		orig := entryID
-		if o, isFrag := a.pmap.OriginalOf(entryID); isFrag {
-			orig = o
-		}
-		if s := a.cmgr.Stats(orig); s != nil {
-			m[entryID] = s
-		}
-	}
-	for _, e := range a.shadow.Rules() {
-		add(e.ID)
-	}
-	for _, e := range a.main.Rules() {
-		add(e.ID)
-	}
-	if a.soft != nil {
-		for _, r := range a.soft.Rules() {
-			if s := a.cmgr.Stats(r.ID); s != nil {
-				m[r.ID] = s
-			}
+// buildHitMap maps every software rule ID to its stats record, so the
+// published snapshot can attribute software-tier hits without taking the
+// lock. Requires at least the read lock.
+func (a *Agent) buildHitMap(rules []classifier.Rule) map[classifier.RuleID]*rulecache.RuleStats {
+	m := make(map[classifier.RuleID]*rulecache.RuleStats, len(rules))
+	for _, r := range rules {
+		if s := a.cmgr.Stats(r.ID); s != nil {
+			m[r.ID] = s
 		}
 	}
 	return m
@@ -531,7 +478,7 @@ func (a *Agent) rebalanceLocked(now time.Duration) {
 func (a *Agent) Cached() bool { return a.soft != nil }
 
 // CacheStats returns the caching hierarchy's aggregate metrics (the zero
-// Snapshot when neither Config.Cache nor Config.TrackHits is set).
+// Snapshot when Config.Cache is not set).
 func (a *Agent) CacheStats() rulecache.Snapshot {
 	if a.cmgr == nil {
 		return rulecache.Snapshot{}
@@ -556,9 +503,9 @@ func (a *Agent) originalOf(id classifier.RuleID) classifier.RuleID {
 	return id
 }
 
-// RuleHits returns the recorded hit count for a rule (Config.TrackHits or
-// cached mode; 0 otherwise). In cached mode it folds pending hardware-tier
-// samples first, so it takes the exclusive lock.
+// RuleHits returns the recorded hit count for a rule (cached mode; 0
+// otherwise). It folds pending hardware-tier samples first, so it takes
+// the exclusive lock.
 func (a *Agent) RuleHits(id classifier.RuleID) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -585,7 +532,7 @@ func (a *Agent) Rebalance(now time.Duration) {
 }
 
 // RegisterCacheMetrics exposes the hierarchy's hermes_cache_* metrics on an
-// obs registry (no-op when hit tracking is disabled).
+// obs registry (no-op when the agent is uncached).
 func (a *Agent) RegisterCacheMetrics(reg *obs.Registry) {
 	if a.cmgr != nil {
 		a.cmgr.Register(reg)

@@ -29,13 +29,6 @@ import (
 // enough that insert/lookup alternation never rebuilds per packet.
 const viewRebuildAfter = 4
 
-// ruleLookup is what a published snapshot needs from an index: RuleIndex
-// satisfies it directly, ShardedRuleIndex through its combining layer
-// (Config.LookupShards picks which one freshView builds).
-type ruleLookup interface {
-	Lookup(dst, src uint32) (classifier.Rule, bool)
-}
-
 // agentView is one immutable snapshot of the agent's lookup state. All
 // fields are written before the view is published and never after.
 type agentView struct {
@@ -43,13 +36,14 @@ type agentView struct {
 	mainGen    uint64
 	logicalGen uint64
 	softGen    uint64
-	shadow     ruleLookup
-	main       ruleLookup
+	shadow     *classifier.RuleIndex
+	main       *classifier.RuleIndex
 	// logical is non-nil only when cfg.TrackLogical is set.
 	logical *classifier.RuleIndex
-	// soft is the software-tier index (cached mode only); cache and hits
-	// are set whenever hit tracking is on (Config.Cache or TrackHits).
-	soft  ruleLookup
+	// soft, cache and hits are set only in cached mode (Config.Cache):
+	// the software-tier index, the hit-stats manager, and the software
+	// rules' stats records.
+	soft  *classifier.RuleIndex
 	cache *rulecache.Manager
 	hits  map[classifier.RuleID]*rulecache.RuleStats
 }
@@ -63,11 +57,6 @@ func (v *agentView) lookup(dst, src uint32) (classifier.Rule, bool) {
 		r, ok = v.main.Lookup(dst, src)
 	}
 	if v.soft == nil {
-		if ok && v.hits != nil {
-			if s := v.hits[r.ID]; s != nil {
-				s.RecordHit(v.cache.EpochNow())
-			}
-		}
 		return r, ok
 	}
 	if ok && r.ID < coverIDBase {
@@ -147,31 +136,20 @@ func (a *Agent) buildView(sg, mg, lg, fg uint64) *agentView {
 		shadowGen: sg,
 		mainGen:   mg,
 		softGen:   fg,
-		shadow:    a.buildIndex(a.shadow.Rules()),
-		main:      a.buildIndex(a.main.Rules()),
+		shadow:    classifier.NewRuleIndex(a.shadow.Rules()),
+		main:      classifier.NewRuleIndex(a.main.Rules()),
 	}
 	if a.cfg.TrackLogical {
 		v.logicalGen = lg
 		v.logical = classifier.NewRuleIndex(a.logicalFirstMatchOrder())
 	}
-	if a.cmgr != nil {
-		v.cache = a.cmgr
-		v.hits = a.buildHitMap()
-	}
 	if a.soft != nil {
-		v.soft = a.buildIndex(a.soft.FirstMatchOrder())
+		rules := a.soft.FirstMatchOrder()
+		v.soft = classifier.NewRuleIndex(rules)
+		v.cache = a.cmgr
+		v.hits = a.buildHitMap(rules)
 	}
 	return v
-}
-
-// buildIndex picks the snapshot index implementation: sharded when
-// Config.LookupShards asks for parallel per-CPU shards, the plain
-// RuleIndex otherwise.
-func (a *Agent) buildIndex(rules []classifier.Rule) ruleLookup {
-	if n := a.cfg.LookupShards; n > 1 {
-		return classifier.NewShardedRuleIndex(rules, n)
-	}
-	return classifier.NewRuleIndex(rules)
 }
 
 // refreshViewLocked republishes the snapshot at the end of a batch — the

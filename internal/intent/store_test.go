@@ -92,12 +92,12 @@ func TestStoreSubscribe(t *testing.T) {
 	var got []note
 	s.Subscribe(func(sw string, gen uint64) { got = append(got, note{sw, gen}) })
 
-	s.Set(rule(1, 1))  // sw-1, gen 1
-	s.Set(rule(2, 1))  // sw-0, gen 2
-	s.Set(rule(1, 1))  // no-op
-	s.Set(rule(1, 5))  // sw-1, gen 3
-	s.Delete(7)        // no-op
-	s.Delete(2)        // sw-0, gen 4
+	s.Set(rule(1, 1)) // sw-1, gen 1
+	s.Set(rule(2, 1)) // sw-0, gen 2
+	s.Set(rule(1, 1)) // no-op
+	s.Set(rule(1, 5)) // sw-1, gen 3
+	s.Delete(7)       // no-op
+	s.Delete(2)       // sw-0, gen 4
 	want := []note{{"sw-1", 1}, {"sw-0", 2}, {"sw-1", 3}, {"sw-0", 4}}
 	if len(got) != len(want) {
 		t.Fatalf("got %d notifications, want %d: %v", len(got), len(want), got)

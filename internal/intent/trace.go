@@ -201,8 +201,8 @@ func (h vtimerHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h vtimerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *vtimerHeap) Push(x any)        { *h = append(*h, x.(vtimer)) }
+func (h vtimerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *vtimerHeap) Push(x any)   { *h = append(*h, x.(vtimer)) }
 func (h *vtimerHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -229,7 +229,8 @@ func (c *Client) writeBatchLocked(xid uint32, ops []FlowMod) error {
 // trip inside core.Agent.ApplyBatch), which is the point — per-op lock and
 // snapshot costs are amortized across the frame. Per-op failures become
 // status codes in the reply; a frame-level Error is reserved for malformed
-// batches.
+// batches — an unknown command or an out-of-range prefix length in any
+// entry rejects the whole frame before any op applies.
 func (s *AgentServer) doFlowModBatch(req *Message) *Message {
 	if req.FlowModBatch == nil {
 		return errorMsg(ErrCodeBadRequest, "empty flow-mod-batch")
@@ -248,7 +249,11 @@ func (s *AgentServer) doFlowModBatch(req *Message) *Message {
 		default:
 			return errorMsg(ErrCodeBadRequest, "unknown flow-mod command in batch")
 		}
-		batch[i] = core.BatchOp{Kind: kind, Rule: ops[i].Rule()}
+		r, err := ops[i].Rule()
+		if err != nil {
+			return errorMsg(ErrCodeBadRequest, err.Error())
+		}
+		batch[i] = core.BatchOp{Kind: kind, Rule: r}
 	}
 	s.mu.Lock()
 	results := s.agent.ApplyBatch(s.now(), batch, nil)

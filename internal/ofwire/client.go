@@ -512,7 +512,11 @@ func (c *Client) dumpRulesPaged(ctx context.Context, pageSize uint16) ([]classif
 			return nil, fmt.Errorf("ofwire: unexpected reply %s", resp.Header.Type)
 		}
 		for _, e := range resp.RulesReply.Rules {
-			out = append(out, e.Rule())
+			r, err := e.Rule()
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, r)
 			after = e.RuleID
 		}
 		if !resp.RulesReply.More {

@@ -152,7 +152,10 @@ func TestCodecRuleRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := out.FlowMod.Rule()
+		got, err := out.FlowMod.Rule()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got.ID != r.ID || got.Match != r.Match || got.Priority != r.Priority ||
 			got.Action != r.Action {
 			t.Fatalf("#%d rule mismatch:\n got %+v\nwant %+v", i, got, r)

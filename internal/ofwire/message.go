@@ -148,17 +148,11 @@ type FlowMod struct {
 	Port     uint16
 }
 
-// Rule converts the wire form to the classifier form.
-func (f *FlowMod) Rule() classifier.Rule {
-	return classifier.Rule{
-		ID: classifier.RuleID(f.RuleID),
-		Match: classifier.Match{
-			Dst: classifier.NewPrefix(f.DstAddr, f.DstLen),
-			Src: classifier.NewPrefix(f.SrcAddr, f.SrcLen),
-		},
-		Priority: f.Priority,
-		Action:   classifier.Action{Type: classifier.ActionType(f.Action), Port: int(f.Port)},
-	}
+// Rule converts the wire form to the classifier form. The fields are peer
+// data, so a prefix length above 32 is an error here, not the panic
+// classifier.NewPrefix reserves for programming errors.
+func (f *FlowMod) Rule() (classifier.Rule, error) {
+	return wireRule(f.RuleID, f.Priority, f.DstAddr, f.DstLen, f.SrcAddr, f.SrcLen, f.Action, f.Port)
 }
 
 // FlowModFromRule builds the wire form of a rule change.
@@ -291,17 +285,28 @@ type RuleEntry struct {
 	Port     uint16
 }
 
-// Rule converts the wire form to the classifier form.
-func (e RuleEntry) Rule() classifier.Rule {
-	return classifier.Rule{
-		ID: classifier.RuleID(e.RuleID),
-		Match: classifier.Match{
-			Dst: classifier.NewPrefix(e.DstAddr, e.DstLen),
-			Src: classifier.NewPrefix(e.SrcAddr, e.SrcLen),
-		},
-		Priority: e.Priority,
-		Action:   classifier.Action{Type: classifier.ActionType(e.Action), Port: int(e.Port)},
+// Rule converts the wire form to the classifier form, rejecting prefix
+// lengths above 32 like FlowMod.Rule.
+func (e RuleEntry) Rule() (classifier.Rule, error) {
+	return wireRule(e.RuleID, e.Priority, e.DstAddr, e.DstLen, e.SrcAddr, e.SrcLen, e.Action, e.Port)
+}
+
+// wireRule builds a classifier rule from the fields FlowMod and RuleEntry
+// share, validating the prefix lengths before classifier.NewPrefix sees
+// them.
+func wireRule(id uint64, prio int32, dst uint32, dstLen uint8, src uint32, srcLen uint8, action uint8, port uint16) (classifier.Rule, error) {
+	if dstLen > 32 || srcLen > 32 {
+		return classifier.Rule{}, fmt.Errorf("ofwire: rule %d: prefix length out of range (dst /%d, src /%d)", id, dstLen, srcLen)
 	}
+	return classifier.Rule{
+		ID: classifier.RuleID(id),
+		Match: classifier.Match{
+			Dst: classifier.NewPrefix(dst, dstLen),
+			Src: classifier.NewPrefix(src, srcLen),
+		},
+		Priority: prio,
+		Action:   classifier.Action{Type: classifier.ActionType(action), Port: int(port)},
+	}, nil
 }
 
 // EntryFromRule builds the wire form of one rule.

@@ -339,12 +339,14 @@ func (s *AgentServer) doFlowMod(req *Message) *Message {
 	if req.FlowMod == nil {
 		return errorMsg(ErrCodeBadRequest, "empty flow-mod")
 	}
+	rule, err := req.FlowMod.Rule()
+	if err != nil {
+		return errorMsg(ErrCodeBadRequest, err.Error())
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
-	rule := req.FlowMod.Rule()
 	var res core.Result
-	var err error
 	switch req.FlowMod.Command {
 	case FlowAdd:
 		res, err = s.agent.Insert(now, rule)

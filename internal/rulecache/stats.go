@@ -97,8 +97,7 @@ type Manager struct {
 const sampleRingSize = 1 << 12
 
 // NewManager builds a manager for the given cache config (defaults
-// applied). It is also used with a zero Capacity for hit-tracking-only
-// agents (Config.TrackHits) that have no software tier.
+// applied). A cached agent owns exactly one, beside its software tier.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.WithDefaults()
 	m := &Manager{

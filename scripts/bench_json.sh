@@ -21,9 +21,8 @@
 #   batch_output.json  defaults to BENCH_batch.json: the batched wire-path
 #                    report — per-op vs vectored batch ingest over TCP
 #                    loopback (with the computed ingest_speedup; floor:
-#                    10x committed, 5x CI smoke), the agent-core batch
-#                    insert (steady-state 0 allocs/op), and the sharded
-#                    parallel lookup grid across GOMAXPROCS 1/2/4/8.
+#                    10x committed, 5x CI smoke) and the agent-core batch
+#                    insert (steady-state 0 allocs/op).
 #
 # BATCH_ONLY=1 runs just the batch section (the `make bench-batch` entry
 # point), skipping the lookup/obs/loadgen artifacts.
@@ -64,13 +63,11 @@ END { printf "\n" }
 ' "$1"
 }
 
-# --- batch wire path: per-op vs vectored ingest + sharded lookup grid --------
+# --- batch wire path: per-op vs vectored ingest ------------------------------
 run_batch() {
 	go test -run '^$' -bench 'BenchmarkWireInsertPerOp|BenchmarkWireInsertBatch64' \
 		-benchmem -benchtime "$benchtime" ./internal/ofwire | tee -a "$raw_batch"
 	go test -run '^$' -bench 'BenchmarkAgentInsertPerOp$|BenchmarkAgentInsertBatch$' \
-		-benchmem -benchtime "$benchtime" ./internal/core | tee -a "$raw_batch"
-	go test -run '^$' -bench 'BenchmarkAgentLookupParallel' -cpu 1,2,4,8 \
 		-benchmem -benchtime "$benchtime" ./internal/core | tee -a "$raw_batch"
 
 	to_json "$raw_batch" > "$batch_out.tmp"
